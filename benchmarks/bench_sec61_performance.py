@@ -83,12 +83,15 @@ def test_function_collision_latency(benchmark, landscape) -> None:
     for address, truth in landscape.truths.items():
         if truth.is_proxy and truth.logic_addresses:
             logic = truth.logic_addresses[0]
-            pairs.append((node.get_code(address), node.get_code(logic)))
+            pairs.append((node.get_code(address), node.get_code(logic),
+                          node.get_code_hash(address),
+                          node.get_code_hash(logic)))
     pairs = pairs[:100]
 
     def check_all():
-        for proxy_code, logic_code in pairs:
-            detector.detect(proxy_code, logic_code)
+        for proxy_code, logic_code, proxy_hash, logic_hash in pairs:
+            detector.detect(proxy_code, logic_code, proxy_hash=proxy_hash,
+                            logic_hash=logic_hash)
 
     benchmark.pedantic(check_all, rounds=3, iterations=1)
     per_pair_ms = benchmark.stats.stats.mean / len(pairs) * 1000

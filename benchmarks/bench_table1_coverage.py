@@ -133,15 +133,20 @@ def test_table1_coverage(benchmark, world) -> None:
         return pair in mined.pairs and crush.storage_collisions(
             *pair).has_collision
 
+    def code_hashes(pair):
+        return {"proxy_hash": node.get_code_hash(pair[0]),
+                "logic_hash": node.get_code_hash(pair[1])}
+
     def proxion_function(pair):
         return function_detector.detect(
             node.get_code(pair[0]), node.get_code(pair[1]),
-            pair[0], pair[1]).has_collision
+            pair[0], pair[1], **code_hashes(pair)).has_collision
 
     def proxion_storage(pair):
         return storage_detector.detect(
             node.get_code(pair[0]), node.get_code(pair[1]),
-            pair[0], pair[1], verify_exploits=False).has_collision
+            pair[0], pair[1], verify_exploits=False,
+            **code_hashes(pair)).has_collision
 
     lines.append("")
     lines.append("Collision coverage (detected: function/storage × "

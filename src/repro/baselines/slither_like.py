@@ -28,7 +28,7 @@ class SlitherKeyword:
     def is_proxy(self, address: bytes) -> bool | None:
         """Keyword verdict; ``None`` when no source is available."""
         source = self._registry.resolve(address,
-                                        self._node.get_code(address))
+                                        self._node.get_code_hash(address))
         if source is None:
             return None
         lowered = source.text.lower()
@@ -39,8 +39,10 @@ class SlitherKeyword:
 
     def function_collisions(self, proxy: bytes, logic: bytes) -> set[bytes] | None:
         """Prototype-hash intersection; ``None`` when either source is missing."""
-        proxy_source = self._registry.resolve(proxy, self._node.get_code(proxy))
-        logic_source = self._registry.resolve(logic, self._node.get_code(logic))
+        proxy_source = self._registry.resolve(proxy,
+                                              self._node.get_code_hash(proxy))
+        logic_source = self._registry.resolve(logic,
+                                              self._node.get_code_hash(logic))
         if proxy_source is None or logic_source is None:
             return None
         proxy_selectors = {function_selector(p)

@@ -64,7 +64,8 @@ class USCHunt:
         self.halt_count = 0
 
     def _source(self, address: bytes) -> ContractSource | None:
-        return self._registry.resolve(address, self._node.get_code(address))
+        return self._registry.resolve(address,
+                                      self._node.get_code_hash(address))
 
     def check(self, address: bytes) -> USCHuntResult:
         source = self._source(address)

@@ -40,12 +40,12 @@ if TYPE_CHECKING:  # imports only needed by type checkers, not at runtime
 class NodeRPC(Protocol):
     """Structural type of every archive-node implementation.
 
-    The six core members mirror the JSON-RPC surface the paper's tool
-    runs against (``eth_getCode``, ``eth_getStorageAt``, ``eth_call``,
-    liveness, transaction counting) plus the ``metrics`` registry every
-    node meters itself through; the remaining members are the archive
-    extensions (history, logs, block metadata) the §5 logic recovery and
-    the monitor rely on.
+    The seven core members mirror the JSON-RPC surface the paper's tool
+    runs against (``eth_getCode``, the account ``codeHash``,
+    ``eth_getStorageAt``, ``eth_call``, liveness, transaction counting)
+    plus the ``metrics`` registry every node meters itself through; the
+    remaining members are the archive extensions (history, logs, block
+    metadata) the §5 logic recovery and the monitor rely on.
     """
 
     #: Every conformer meters its RPCs through a registry of this shape.
@@ -55,6 +55,13 @@ class NodeRPC(Protocol):
     def get_code(self, address: bytes,
                  block_number: int | None = None) -> bytes:
         """``eth_getCode`` — runtime bytecode, optionally at a height."""
+        ...
+
+    def get_code_hash(self, address: bytes,
+                      block_number: int | None = None) -> bytes:
+        """The account ``codeHash``: Keccak-256 of the code, recorded once
+        when the code was stored (``EMPTY_CODE_HASH`` without code).  The
+        key every bytecode-keyed cache, table and shard uses."""
         ...
 
     def get_storage_at(self, address: bytes, slot: int,

@@ -2,7 +2,9 @@
 
 The paper's pipeline asks Etherscan for verified source (§5.1) and, for
 efficiency, assigns a known source to every other contract sharing the same
-runtime-bytecode hash (§7.1).  This registry reproduces both behaviours.
+runtime-bytecode hash (§7.1).  This registry reproduces both behaviours;
+lookups take the node's recorded codehash
+(:meth:`~repro.chain.api.NodeRPC.get_code_hash`), never the code itself.
 
 A :class:`ContractSource` is the uniform parsed form the paper's custom
 Etherscan parser produces: the declared functions (canonical prototypes) and
@@ -54,7 +56,7 @@ class SourceRegistry:
                runtime_code: bytes | None = None) -> None:
         """Publish (verify) source for an address, optionally keyed by code."""
         self._by_address[address] = source
-        if runtime_code is not None:
+        if runtime_code:   # no code, nothing to propagate across
             self._by_code_hash[keccak256(runtime_code)] = source
 
     def get_source(self, address: bytes) -> ContractSource | None:
@@ -63,19 +65,18 @@ class SourceRegistry:
     def has_source(self, address: bytes) -> bool:
         return address in self._by_address
 
-    def get_source_by_code(self, runtime_code: bytes) -> ContractSource | None:
+    def get_source_by_code_hash(self,
+                                code_hash: bytes) -> ContractSource | None:
         """§7.1 optimization: source propagates across identical bytecode."""
-        return self._by_code_hash.get(keccak256(runtime_code))
+        return self._by_code_hash.get(code_hash)
 
-    def resolve(self, address: bytes,
-                runtime_code: bytes | None = None) -> ContractSource | None:
+    def resolve(self, address: bytes | None,
+                code_hash: bytes | None = None) -> ContractSource | None:
         """Address lookup first, then bytecode-hash propagation."""
         source = self._by_address.get(address)
-        if source is not None:
+        if source is not None or code_hash is None:
             return source
-        if runtime_code:
-            return self.get_source_by_code(runtime_code)
-        return None
+        return self.get_source_by_code_hash(code_hash)
 
     def verified_addresses(self) -> list[bytes]:
         return list(self._by_address)

@@ -294,6 +294,11 @@ class FailoverNode:
         return self._invoke("eth_getCode", "get_code", address,
                             address, block_number)
 
+    def get_code_hash(self, address: bytes,
+                      block_number: int | None = None) -> bytes:
+        return self._invoke("eth_getCodeHash", "get_code_hash", address,
+                            address, block_number)
+
     def get_storage_at(self, address: bytes, slot: int,
                        block_number: int | None = None) -> int:
         return self._invoke("eth_getStorageAt", "get_storage_at", address,

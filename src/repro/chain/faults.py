@@ -360,6 +360,12 @@ class FaultyNode:
         self._gate("eth_getCode", address, self._sig(address, block_number))
         return self._node.get_code(address, block_number)
 
+    def get_code_hash(self, address: bytes,
+                      block_number: int | None = None) -> bytes:
+        self._gate("eth_getCodeHash", address,
+                   self._sig(address, block_number))
+        return self._node.get_code_hash(address, block_number)
+
     def get_storage_at(self, address: bytes, slot: int,
                        block_number: int | None = None) -> int:
         self._gate("eth_getStorageAt", address,

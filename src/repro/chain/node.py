@@ -148,6 +148,14 @@ class ArchiveNode:
                                block=block_number, size=len(code))
         return code
 
+    def get_code_hash(self, address: bytes,
+                      block_number: int | None = None) -> bytes:
+        self.api_calls.bump("eth_getCodeHash")
+        start = clock()
+        code_hash = self._chain.state.get_code_hash(address, block_number)
+        self._observe("eth_getCodeHash", start)
+        return code_hash
+
     def get_storage_at(self, address: bytes, slot: int,
                        block_number: int | None = None) -> int:
         self.api_calls.bump("eth_getStorageAt")

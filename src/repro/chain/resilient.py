@@ -285,6 +285,11 @@ class ResilientNode:
         return self._invoke("eth_getCode", self._node.get_code, address,
                             address, block_number)
 
+    def get_code_hash(self, address: bytes,
+                      block_number: int | None = None) -> bytes:
+        return self._invoke("eth_getCodeHash", self._node.get_code_hash,
+                            address, address, block_number)
+
     def get_storage_at(self, address: bytes, slot: int,
                        block_number: int | None = None) -> int:
         return self._invoke("eth_getStorageAt", self._node.get_storage_at,

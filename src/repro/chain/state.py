@@ -8,12 +8,22 @@ block heights.
 
 Reads at a historical height binary-search the change list, so the simulated
 archive node answers in O(log changes) regardless of chain length.
+
+Like Ethereum's account ``codeHash`` field, each code blob's Keccak-256 is
+computed once, when :meth:`WorldState.set_code` stores it, and served by
+:meth:`WorldState.get_code_hash` at any height.  Everything that keys work
+by bytecode (the §6.1 dedup caches, source propagation, the store, the
+``codehash`` shard strategy) reads that recorded value instead of
+re-hashing the code.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+
+from repro.evm.state import EMPTY_CODE_HASH
+from repro.utils.keccak import keccak256
 
 
 @dataclass(slots=True)
@@ -54,12 +64,17 @@ class WorldState:
         self._destroyed: set[bytes] = set()
         self._storage_history: dict[tuple[bytes, int], _History] = {}
         self._code_history: dict[bytes, _History] = {}
+        # Content-keyed (code bytes -> digest), so snapshot/revert/fork need
+        # not touch it: a reverted deployment leaves a harmless entry.
+        self._code_hashes: dict[bytes, bytes] = {b"": EMPTY_CODE_HASH}
 
     # ------------------------------------------------------ StateBackend API
     def get_code(self, address: bytes) -> bytes:
         return self._code.get(address, b"")
 
     def set_code(self, address: bytes, code: bytes) -> None:
+        if code not in self._code_hashes:
+            self._code_hashes[code] = keccak256(code)
         self._code[address] = code
         self._destroyed.discard(address)
         self._code_history.setdefault(address, _History()).record(
@@ -156,6 +171,13 @@ class WorldState:
         if history is None:
             return b""
         return bytes(history.at(block, b""))  # type: ignore[arg-type]
+
+    def get_code_hash(self, address: bytes, block: int | None = None) -> bytes:
+        """Keccak-256 of the code, live or as of ``block``; the empty-code
+        hash for an address without code.  Recorded at :meth:`set_code`."""
+        code = (self.get_code(address) if block is None
+                else self.get_code_at(address, block))
+        return self._code_hashes[code]
 
     def storage_change_blocks(self, address: bytes, slot: int) -> list[int]:
         """Blocks at which the slot value changed (ground truth for tests)."""

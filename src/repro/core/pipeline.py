@@ -13,6 +13,10 @@ scaling optimizations the paper leans on:
 * **collision-report dedup by (proxy-code, logic-code) hash pair**: the
   48-days-instead-of-years optimization of §6.1.
 
+Both key on the node's recorded codehash
+(:meth:`~repro.chain.api.NodeRPC.get_code_hash`, computed once when the
+code was stored), never on a re-hash of the code at each use.
+
 The §8.2 *diamond extension* is available behind ``detect_diamonds=True``:
 selectors mined from an address's past transactions are replayed as extra
 probes, catching EIP-2535 proxies the random probe misses.
@@ -53,7 +57,6 @@ from repro.obs.provenance import NULL_TRAIL, AuditDir, EvidenceTrail
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import NULL_TRACER, RingBufferSink, SpanTracer
 from repro.utils.hexutil import ADDRESS_MASK, word_to_address
-from repro.utils.keccak import keccak256
 
 #: The three §6.1 dedup caches, as they appear in ``dedup.*`` metrics.
 DEDUP_CACHES = ("proxy_check", "function_collision", "storage_collision")
@@ -216,10 +219,11 @@ class Proxion:
                     trail: EvidenceTrail = NULL_TRAIL) -> ProxyCheck:
         """Proxy-check one address, reusing verdicts for identical bytecode."""
         with self.tracer.span("proxy_check") as span:
-            code = self.node.get_code(address)
-            if not code:
+            # eth_getCode, not the hash, decides emptiness: fault plans
+            # index their call windows by the eth_getCode count.
+            if not self.node.get_code(address):
                 return self.detector.check(address, trail=trail)
-            code_hash = keccak256(code)
+            code_hash = self.node.get_code_hash(address)
 
             if (self.options.dedup_by_code_hash
                     and code_hash in self._check_cache):
@@ -351,10 +355,11 @@ class Proxion:
     def _analyze_contract(self, address: bytes,
                           trail: EvidenceTrail) -> ContractAnalysis:
         code = self.node.get_code(address)
+        code_hash = self.node.get_code_hash(address)
         analysis = ContractAnalysis(
             address=address,
-            code_hash=keccak256(code),
-            has_source=self.registry.resolve(address, code) is not None,
+            code_hash=code_hash,
+            has_source=self.registry.resolve(address, code_hash) is not None,
             has_transactions=self.node.has_transactions(address),
         )
         if self.dataset is not None and address in self.dataset:
@@ -394,7 +399,7 @@ class Proxion:
             logic_code = self.node.get_code(logic_address)
             if not logic_code:
                 continue
-            logic_hash = keccak256(logic_code)
+            logic_hash = self.node.get_code_hash(logic_address)
             pair = (proxy_hash, logic_hash)
 
             with trail.begin(provenance.PAIR,
@@ -410,7 +415,8 @@ class Proxion:
                         with self.tracer.span("function_collision"):
                             report = self.function_detector.detect(
                                 proxy_code, logic_code,
-                                analysis.address, logic_address, trail=trail)
+                                analysis.address, logic_address, trail=trail,
+                                proxy_hash=proxy_hash, logic_hash=logic_hash)
                         self._function_cache[pair] = report
                     analysis.function_reports.append(report)  # type: ignore[arg-type]
 
@@ -427,7 +433,8 @@ class Proxion:
                                 proxy_code, logic_code,
                                 analysis.address, logic_address,
                                 verify_exploits=self.options.verify_storage_exploits,
-                                trail=trail)
+                                trail=trail, proxy_hash=proxy_hash,
+                                logic_hash=logic_hash)
                         self._storage_cache[pair] = report
                     analysis.storage_reports.append(report)  # type: ignore[arg-type]
 
@@ -525,15 +532,15 @@ class Proxion:
         store_restored = None
         if self.store is not None and self.store.incremental:
             # Incremental re-sweep (repro.store): re-survey the corpus by
-            # fetching each address's code and restoring every instance
+            # reading each address's codehash and restoring every instance
             # the store has already settled — the live loop below then
-            # analyzes only the delta.  Code is read metrics-free off the
-            # state (like sharding): the restore is bookkeeping, not RPC
+            # analyzes only the delta.  Hashes are read metrics-free off
+            # the state (like sharding): the restore is bookkeeping, not RPC
             # traffic, and must not be perturbed by chaos wrappers.
             from repro.store.binding import restore_instances
             try:
                 store_restored = restore_instances(
-                    self.store.store, addresses, self._state.get_code,
+                    self.store.store, addresses, self._state.get_code_hash,
                     already=done)
             except ConfigurationError:
                 raise
@@ -653,7 +660,7 @@ class Proxion:
         for name in _COUNTER_FIELDS:
             setattr(ordered, name, getattr(report, name))
         baseline = replayed_counter_baseline(
-            restored.analyses, self._state.get_code, self.options)
+            restored.analyses, self._state.get_code_hash, self.options)
         for name, value in baseline.items():
             setattr(ordered, name, getattr(ordered, name) + value)
         return ordered

@@ -216,9 +216,10 @@ class StorageCollisionDetector:
 
     # ------------------------------------------------------------- profiles
     def profile(self, code: bytes, address: bytes | None = None,
-                probe_state: bool = False) -> StorageProfile:
+                probe_state: bool = False,
+                code_hash: bytes | None = None) -> StorageProfile:
         """Bytecode profile, refined with the declared layout when source
-        is available.
+        is available (by address, or by the node's recorded ``code_hash``).
 
         The CRUSH engine is bytecode-based even for verified contracts
         (§5.2); source adds declared types and name-based sensitivity on
@@ -228,7 +229,7 @@ class StorageCollisionDetector:
             code, address,
             state=self._state if probe_state else None,
         )
-        source = self._registry.resolve(address, code)
+        source = self._registry.resolve(address, code_hash)
         if source is not None:
             layout_profile = profile_from_source(source, address)
             for slot, uses in layout_profile.usages.items():
@@ -243,15 +244,20 @@ class StorageCollisionDetector:
                proxy_address: bytes | None = None,
                logic_address: bytes | None = None,
                verify_exploits: bool = True,
-               trail: EvidenceTrail = NULL_TRAIL) -> StorageCollisionReport:
+               trail: EvidenceTrail = NULL_TRAIL, *,
+               proxy_hash: bytes | None = None,
+               logic_hash: bytes | None = None) -> StorageCollisionReport:
         """Full §5.2 pipeline for one proxy/logic pair.
 
         ``trail`` records both sides' profile provenance, every slot/range
         clash with its classification, and the outcome of each exploit
-        verification run.
+        verification run.  The codehashes resolve source as in
+        :meth:`profile`.
         """
-        proxy_profile = self.profile(proxy_code, proxy_address, probe_state=True)
-        logic_profile = self.profile(logic_code, logic_address)
+        proxy_profile = self.profile(proxy_code, proxy_address,
+                                     probe_state=True, code_hash=proxy_hash)
+        logic_profile = self.profile(logic_code, logic_address,
+                                     code_hash=logic_hash)
         trail.note(provenance.STORAGE_PROFILE, side="proxy",
                    mode=proxy_profile.mode, slots=len(proxy_profile.usages))
         trail.note(provenance.STORAGE_PROFILE, side="logic",

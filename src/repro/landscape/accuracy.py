@@ -63,6 +63,13 @@ class ConfusionMatrix:
 
 
 # ------------------------------------------------------- per-tool verdicts
+def _code_hashes(corpus: AccuracyCorpus,
+                 pair: LabelledPair) -> dict[str, bytes]:
+    """The pair's recorded codehashes, as the detectors' keyword args."""
+    return {"proxy_hash": corpus.node.get_code_hash(pair.proxy),
+            "logic_hash": corpus.node.get_code_hash(pair.logic)}
+
+
 def proxion_storage_verdicts(corpus: AccuracyCorpus) -> dict[PairKey, bool]:
     """ProxioN's full storage pipeline: proxy identification gates the
     collision check, so library pairs and emulation failures drop out."""
@@ -77,7 +84,8 @@ def proxion_storage_verdicts(corpus: AccuracyCorpus) -> dict[PairKey, bool]:
             continue
         report = detector.detect(
             corpus.node.get_code(pair.proxy), corpus.node.get_code(pair.logic),
-            pair.proxy, pair.logic, verify_exploits=False)
+            pair.proxy, pair.logic, verify_exploits=False,
+            **_code_hashes(corpus, pair))
         verdicts[(pair.proxy, pair.logic)] = report.has_collision
     return verdicts
 
@@ -95,7 +103,7 @@ def proxion_function_verdicts(corpus: AccuracyCorpus) -> dict[PairKey, bool]:
             continue
         report = detector.detect(
             corpus.node.get_code(pair.proxy), corpus.node.get_code(pair.logic),
-            pair.proxy, pair.logic)
+            pair.proxy, pair.logic, **_code_hashes(corpus, pair))
         verdicts[(pair.proxy, pair.logic)] = report.has_collision
     return verdicts
 

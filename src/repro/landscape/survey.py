@@ -14,6 +14,7 @@ from repro.chain.explorer import SourceRegistry
 from repro.chain.node import ArchiveNode
 from repro.core.report import ContractAnalysis, LandscapeReport
 from repro.core.standards import ProxyStandard
+from repro.evm.state import EMPTY_CODE_HASH
 
 YEARS = tuple(range(2015, 2024))
 
@@ -79,7 +80,7 @@ def figure4_pair_availability(report: LandscapeReport, node: ArchiveNode,
         proxy_has_source = analysis.has_source
         for logic in analysis.logic_history.logic_addresses:
             logic_has_source = registry.resolve(
-                logic, node.get_code(logic)) is not None
+                logic, node.get_code_hash(logic)) is not None
             if proxy_has_source and logic_has_source:
                 pair_class = PAIR_BOTH_SOURCE
             elif logic_has_source:
@@ -169,8 +170,6 @@ def figure5_duplicates(report: LandscapeReport,
     proxy_hashes = Counter()
     logic_hashes = Counter()
     logic_addresses: set[bytes] = set()
-    from repro.utils.keccak import keccak256
-
     for analysis in report.analyses.values():
         if not analysis.is_proxy:
             continue
@@ -181,9 +180,9 @@ def figure5_duplicates(report: LandscapeReport,
     # Each *distinct logic contract* counts once; duplication is then
     # measured across those contracts' bytecodes (Fig. 5b's population).
     for logic in logic_addresses:
-        code = node.get_code(logic)
-        if code:
-            logic_hashes[keccak256(code)] += 1
+        code_hash = node.get_code_hash(logic)
+        if code_hash != EMPTY_CODE_HASH:
+            logic_hashes[code_hash] += 1
     return DuplicateCensus(
         proxy_duplicate_counts=sorted(proxy_hashes.values(), reverse=True),
         logic_duplicate_counts=sorted(logic_hashes.values(), reverse=True),

@@ -250,7 +250,7 @@ def _salvage_shard_stores(store, store_path: str,
 
 
 def _fold_store(result: ShardedSweepResult, store, restored,
-                addresses: list[bytes], code_of, spec: SweepSpec,
+                addresses: list[bytes], code_hash_of, spec: SweepSpec,
                 workers: int, store_path: str,
                 say: Callable[[str], None]) -> ShardedSweepResult:
     """Post-sweep store work: fold restored prefix, merge shard stores."""
@@ -270,7 +270,7 @@ def _fold_store(result: ShardedSweepResult, store, restored,
         # the restored prefix — replayed from the restored analyses, never
         # read from the store (a kill -9 could leave stored counters
         # stale; the committed rows themselves cannot lie).
-        baseline = replayed_counter_baseline(restored.analyses, code_of,
+        baseline = replayed_counter_baseline(restored.analyses, code_hash_of,
                                              spec.options)
         for name, value in baseline.items():
             setattr(report, name, getattr(report, name) + value)
@@ -346,9 +346,9 @@ def run_sharded_sweep(spec: SweepSpec, *,
     checkpoint idiom — and the parent folds the shard stores back after
     the merge.  With ``incremental`` the parent first restores every
     instance the store has already settled (validating stored codehashes
-    against the live code) and dispatches only the pending delta; the
-    merged report is byte-identical to a from-scratch sweep of the same
-    corpus.
+    against the chain's recorded ones) and dispatches only the pending
+    delta; the merged report is byte-identical to a from-scratch sweep of
+    the same corpus.
     """
     wall_start = time.perf_counter()
     say = progress or (lambda message: None)
@@ -361,11 +361,10 @@ def run_sharded_sweep(spec: SweepSpec, *,
         addresses = world.addresses()
     addresses = list(addresses)
 
-    def code_of(address: bytes) -> bytes:
-        # Metrics-free read straight off the simulated state: sharding and
-        # store restore are bookkeeping, not RPC traffic, and must not
-        # perturb counters (or be perturbed by chaos wrappers).
-        return world.chain.state.get_code(address)
+    # Metrics-free read straight off the simulated state: sharding and
+    # store restore are bookkeeping, not RPC traffic, and must not perturb
+    # counters (or be perturbed by chaos wrappers).
+    code_hash_of = world.chain.state.get_code_hash
 
     store = None
     restored = None
@@ -378,7 +377,7 @@ def run_sharded_sweep(spec: SweepSpec, *,
             store_spec = (store_path, incremental)
             _salvage_shard_stores(store, store_path, say)
             if incremental:
-                restored = restore_instances(store, addresses, code_of)
+                restored = restore_instances(store, addresses, code_hash_of)
                 pending = [address for address in addresses
                            if address not in restored.completed]
                 say(f"store: restored {len(restored.analyses)} analyses, "
@@ -393,7 +392,7 @@ def run_sharded_sweep(spec: SweepSpec, *,
             wall_s=time.perf_counter() - wall_start)
         say("store: nothing pending — the store already settles the "
             "whole corpus")
-        return _fold_store(result, store, restored, addresses, code_of,
+        return _fold_store(result, store, restored, addresses, code_hash_of,
                            spec, workers, store_path, say)
 
     if processes and workers > 1:
@@ -405,11 +404,11 @@ def run_sharded_sweep(spec: SweepSpec, *,
             audit_dir=audit_dir, store_spec=store_spec)
         if store is not None:
             result = _fold_store(result, store, restored, addresses,
-                                 code_of, spec, workers, store_path, say)
+                                 code_hash_of, spec, workers, store_path, say)
         return result
 
     partitions = shard_addresses(pending, workers, strategy,
-                                 code_of=code_of)
+                                 code_hash_of=code_hash_of)
     tasks = [(spec, index, partition, checkpoint_path, resume, audit_dir,
               store_spec)
              for index, partition in enumerate(partitions)]
@@ -454,8 +453,8 @@ def run_sharded_sweep(spec: SweepSpec, *,
         f"{len(report.failures)} failures "
         f"(critical-path speedup {outcome.critical_path_speedup:.2f}x)")
     if store is not None:
-        outcome = _fold_store(outcome, store, restored, addresses, code_of,
-                              spec, workers, store_path, say)
+        outcome = _fold_store(outcome, store, restored, addresses,
+                              code_hash_of, spec, workers, store_path, say)
     return outcome
 
 

@@ -12,9 +12,10 @@ same partition — a prerequisite for per-shard checkpoint resume:
     identical).
 
 ``codehash``
-    Address goes to shard ``keccak256(code)[-8:] % shards``.  Clone
+    Address goes to shard ``codehash[-8:] % shards``, where ``codehash``
+    is the chain's recorded Keccak-256 of the deployed code.  Clone
     families — and therefore the dedup caches' key space — land whole on
-    one shard: ``proxy_check`` keys by ``keccak(code)`` directly, and the
+    one shard: ``proxy_check`` keys by the codehash directly, and the
     collision caches key by ``(proxy_hash, logic_hash)`` where the proxy
     hash determines the shard.  Per-shard relative order is preserved
     from the input list, so summed per-shard hit/miss counters equal the
@@ -28,6 +29,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from repro.errors import ConfigurationError
+from repro.evm.state import EMPTY_CODE_HASH
 from repro.utils.keccak import keccak256
 
 #: Recognised partitioning strategies, in documentation order.
@@ -35,24 +37,26 @@ STRATEGIES = ("roundrobin", "codehash")
 
 
 def _codehash_slot(address: bytes, shards: int,
-                   code_of: Callable[[bytes], bytes] | None) -> int:
-    code = code_of(address) if code_of is not None else b""
-    # Self-destructed / never-deployed addresses have no code to key on;
-    # hashing the address keeps the assignment deterministic anyway.
-    digest = keccak256(code if code else address)
+                   code_hash_of: Callable[[bytes], bytes] | None) -> int:
+    digest = (code_hash_of(address) if code_hash_of is not None
+              else EMPTY_CODE_HASH)
+    if digest == EMPTY_CODE_HASH:
+        # Self-destructed / never-deployed addresses have no code to key
+        # on; hashing the address keeps the assignment deterministic.
+        digest = keccak256(address)
     return int.from_bytes(digest[-8:], "big") % shards
 
 
 def shard_addresses(addresses: Sequence[bytes], shards: int,
                     strategy: str = "codehash",
-                    code_of: Callable[[bytes], bytes] | None = None,
+                    code_hash_of: Callable[[bytes], bytes] | None = None,
                     ) -> list[list[bytes]]:
     """Partition ``addresses`` into ``shards`` disjoint ordered lists.
 
     Every shard preserves the relative order of its members from the
-    input list.  ``code_of`` resolves an address to its deployed runtime
-    code (required by the ``codehash`` strategy; ignored by
-    ``roundrobin``).
+    input list.  ``code_hash_of`` resolves an address to its recorded
+    codehash, e.g. ``WorldState.get_code_hash`` (required by the
+    ``codehash`` strategy; ignored by ``roundrobin``).
     """
     if shards < 1:
         raise ConfigurationError(f"shard count must be >= 1, got {shards}")
@@ -65,7 +69,7 @@ def shard_addresses(addresses: Sequence[bytes], shards: int,
         if strategy == "roundrobin":
             slot = index % shards
         else:
-            slot = _codehash_slot(address, shards, code_of)
+            slot = _codehash_slot(address, shards, code_hash_of)
         partitions[slot].append(address)
     return partitions
 

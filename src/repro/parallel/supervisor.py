@@ -366,11 +366,8 @@ def run_supervised_sweep(spec, *,
         addresses = world.addresses()
     addresses = list(addresses)
 
-    def code_of(address: bytes) -> bytes:
-        return world.chain.state.get_code(address)
-
     partitions = shard_addresses(addresses, workers, strategy,
-                                 code_of=code_of)
+                                 code_hash_of=world.chain.state.get_code_hash)
     say(f"sweeping {len(addresses)} contracts across {workers} supervised "
         f"shard(s), strategy={strategy}, timeout={config.shard_timeout_s}s, "
         f"retries={config.max_shard_retries}")

@@ -21,9 +21,9 @@ Failure philosophy (the robustness headline):
   future layout risks corrupting it.
 
 Incremental restore and the counter-replay baseline live here too:
-:func:`restore_instances` re-surveys a grown corpus by fetching each
-address's code and validating it against the stored codehash (only
-byte-identical deployments are trusted), and
+:func:`restore_instances` re-surveys a grown corpus by reading each
+address's codehash off the chain and validating it against the stored one
+(only byte-identical deployments are trusted), and
 :func:`replayed_counter_baseline` reconstructs the dedup counters a
 from-scratch sweep would have accrued over the restored prefix — by
 replaying cache behavior over the restored analyses, *not* by trusting
@@ -40,10 +40,10 @@ from typing import Any, Callable, Iterable, Sequence
 
 from repro.core.report import ContractAnalysis, ContractFailure
 from repro.errors import ConfigurationError
+from repro.evm.state import EMPTY_CODE_HASH
 from repro.landscape.serialize import dict_to_analysis
 from repro.store import facts as factser
 from repro.store.store import AnalysisStore
-from repro.utils.keccak import keccak256
 
 
 def _default_warn(message: str) -> None:
@@ -381,18 +381,18 @@ class RestoredInstances:
 
 def restore_instances(store: AnalysisStore,
                       addresses: Sequence[bytes],
-                      code_of: Callable[[bytes], bytes],
+                      code_hash_of: Callable[[bytes], bytes],
                       already: frozenset[bytes] | set[bytes] = frozenset(),
                       ) -> RestoredInstances:
     """Re-survey a corpus against the store, trusting only verified rows.
 
-    For every address (in sweep order) the *current* code is fetched and
-    its keccak256 compared to the stored instance's codehash — a stored
-    analysis is restored only for a byte-identical deployment, a stored
-    skip only for a still-code-less address.  Anything else is left to
-    the live sweep, so corpus mutation degrades to re-analysis, never to
-    stale results.  ``already`` (e.g. checkpoint-restored addresses)
-    are skipped outright.
+    For every address (in sweep order) the *current* codehash (the
+    chain's recorded one, from ``code_hash_of``) is compared to the stored
+    instance's — a stored analysis is restored only for a byte-identical
+    deployment, a stored skip only for a still-code-less address.
+    Anything else is left to the live sweep, so corpus mutation degrades
+    to re-analysis, never to stale results.  ``already`` (e.g.
+    checkpoint-restored addresses) are skipped outright.
     """
     records = store.load_analyses()
     failures = store.load_failures()
@@ -403,9 +403,9 @@ def restore_instances(store: AnalysisStore,
             continue
         record = records.get(address)
         if record is not None:
-            code = code_of(address)
-            stored_hash = record.get("code_hash")
-            if code and "0x" + keccak256(code).hex() == stored_hash:
+            code_hash = code_hash_of(address)
+            if (code_hash != EMPTY_CODE_HASH
+                    and "0x" + code_hash.hex() == record.get("code_hash")):
                 restored.analyses.append(dict_to_analysis(record))
                 restored.completed.add(address)
             else:
@@ -420,7 +420,7 @@ def restore_instances(store: AnalysisStore,
             restored.completed.add(address)
             continue
         if address in skips:
-            if not code_of(address):
+            if code_hash_of(address) == EMPTY_CODE_HASH:
                 restored.skips.add(address)
                 restored.completed.add(address)
             else:
@@ -438,7 +438,7 @@ _BASE_FIELDS = (
 
 
 def replayed_counter_baseline(analyses: Iterable[ContractAnalysis],
-                              code_of: Callable[[bytes], bytes],
+                              code_hash_of: Callable[[bytes], bytes],
                               options) -> dict[str, int]:
     """The dedup counters a cold sweep would accrue over ``analyses``.
 
@@ -469,10 +469,10 @@ def replayed_counter_baseline(analyses: Iterable[ContractAnalysis],
         if analysis.logic_history is None:
             continue
         for logic_address in analysis.logic_history.logic_addresses:
-            logic_code = code_of(logic_address)
-            if not logic_code:
+            logic_hash = code_hash_of(logic_address)
+            if logic_hash == EMPTY_CODE_HASH:
                 continue
-            pair = (analysis.code_hash, keccak256(logic_code))
+            pair = (analysis.code_hash, logic_hash)
             if pair in seen_pairs:
                 pair_hits += 1
             else:

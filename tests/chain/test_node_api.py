@@ -17,8 +17,10 @@ from repro.chain.failover import build_failover_node
 from repro.chain.faults import FaultPlan, FaultyNode
 from repro.chain.node import ArchiveNode
 from repro.chain.resilient import ResilientNode
+from repro.evm.state import EMPTY_CODE_HASH
 from repro.lang import compile_contract, stdlib
 from repro.obs.registry import MetricsRegistry
+from repro.utils.keccak import keccak256
 
 from tests.conftest import ALICE
 
@@ -71,8 +73,8 @@ def test_isinstance_of_the_runtime_checkable_protocol(node) -> None:
 
 def test_every_protocol_member_is_present(node) -> None:
     members = (
-        "metrics", "get_code", "get_storage_at", "call", "is_alive",
-        "get_transaction_count", "get_balance", "get_logs",
+        "metrics", "get_code", "get_code_hash", "get_storage_at", "call",
+        "is_alive", "get_transaction_count", "get_balance", "get_logs",
         "transactions_of", "has_transactions", "year_of", "chain",
         "latest_block_number", "genesis_block_number",
     )
@@ -94,6 +96,21 @@ def test_reads_match_the_ground_truth_archive(node, world) -> None:
     assert node.get_balance(proxy) == truth.get_balance(proxy)
     assert node.is_alive(proxy) is True
     assert node.is_alive(b"\x00" * 20) is False
+
+
+def test_code_hash_is_the_keccak_of_the_code_at_every_height(
+        node, world) -> None:
+    chain, logic, proxy = world
+    for address in (logic, proxy):
+        assert node.get_code_hash(address) == keccak256(node.get_code(address))
+        assert node.get_code_hash(address) != EMPTY_CODE_HASH
+        # Historical heights: before, at and after each deployment.
+        for height in range(chain.latest_block_number + 1):
+            assert node.get_code_hash(address, height) == \
+                keccak256(node.get_code(address, height))
+    assert node.get_code_hash(proxy, 0) == EMPTY_CODE_HASH
+    assert node.get_code_hash(ALICE) == EMPTY_CODE_HASH        # an EOA
+    assert node.get_code_hash(ALICE, 0) == EMPTY_CODE_HASH
 
 
 def test_call_emulates_like_the_archive(node, world) -> None:

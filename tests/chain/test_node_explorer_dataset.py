@@ -76,8 +76,9 @@ def test_registry_by_address_and_codehash(chain: Blockchain) -> None:
     # same contract resolves without explicit verification.
     clone = chain.deploy(ALICE, compiled.init_code).created_address
     assert not registry.has_source(clone)
-    assert registry.resolve(clone, compiled.runtime_code) is source
-    assert registry.resolve(b"\x42" * 20, b"\x01\x02") is None
+    assert registry.resolve(clone, chain.state.get_code_hash(clone)) is source
+    assert registry.resolve(b"\x42" * 20, b"\x01" * 32) is None
+    assert registry.resolve(b"\x42" * 20) is None
     assert len(registry) == 1
 
 

@@ -6,7 +6,9 @@ from __future__ import annotations
 from repro.chain.blockchain import Blockchain
 from repro.chain.faults import REORG, FaultPlan, FaultRule, FaultyNode, canned_plan
 from repro.chain.node import ArchiveNode
+from repro.evm.state import EMPTY_CODE_HASH
 from repro.lang import compile_contract, stdlib
+from repro.utils.keccak import keccak256
 
 from tests.conftest import ALICE, BOB, ETHER
 
@@ -54,6 +56,30 @@ def test_fork_orphans_deployments_and_reverts_state(chain: Blockchain) -> None:
     assert node.get_balance(doomed) == 0
     assert node.is_alive(survivor)
     assert doomed not in chain.receipts_by_address
+
+
+def test_fork_rolls_back_the_recorded_codehash(chain: Blockchain) -> None:
+    _deploy(chain, stdlib.simple_wallet("Keep", ALICE))
+    doomed = _deploy(chain, stdlib.simple_wallet("Gone", ALICE))
+    doomed_block = chain.latest_block_number
+    node = ArchiveNode(chain)
+    doomed_hash = node.get_code_hash(doomed)
+    assert doomed_hash == keccak256(node.get_code(doomed))
+
+    assert chain.fork(1) == [doomed]
+    assert node.get_code_hash(doomed) == EMPTY_CODE_HASH
+    assert node.get_code_hash(doomed, doomed_block) == EMPTY_CODE_HASH
+
+    # The replacement branch deploys other code; the sender's nonce was
+    # rolled back too, so it lands at the orphaned address.
+    replacement = _deploy(chain, stdlib.storage_proxy("P", b"\x11" * 20,
+                                                      ALICE))
+    assert replacement == doomed
+    replacement_hash = node.get_code_hash(replacement)
+    assert replacement_hash == keccak256(node.get_code(replacement))
+    assert replacement_hash not in (doomed_hash, EMPTY_CODE_HASH)
+    assert node.get_code_hash(replacement, chain.latest_block_number) == \
+        replacement_hash
 
 
 def test_fork_bumps_branch_nonce_so_replacements_hash_differently(

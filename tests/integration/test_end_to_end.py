@@ -88,7 +88,7 @@ def test_hidden_proxies_found_only_by_proxion(landscape: Landscape,
         address for address, truth in landscape.truths.items()
         if truth.is_proxy and truth.kind != "diamond"
         and landscape.registry.resolve(
-            address, landscape.chain.state.get_code(address)) is None
+            address, landscape.chain.state.get_code_hash(address)) is None
         and not landscape.chain.has_transactions(address)]
     assert hidden_true_proxies, "landscape should contain hidden proxies"
 

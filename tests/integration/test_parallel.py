@@ -74,7 +74,7 @@ def test_spawn_rebuilds_world_from_spec(spec, serial_json) -> None:
 
     world = spec.build_world()
     partitions = shard_addresses(world.addresses(), 2, "codehash",
-                                 code_of=world.chain.state.get_code)
+                                 code_hash_of=world.chain.state.get_code_hash)
     context = multiprocessing.get_context("spawn")
     with context.Pool(processes=2) as pool:
         results = pool.map(_run_shard,
@@ -98,7 +98,7 @@ def test_spawn_worker_composes_chaos_stack_from_spec(spec) -> None:
                         chaos_seed=5)
     world = chaotic.build_world()
     partitions = shard_addresses(world.addresses(), 2, "codehash",
-                                 code_of=world.chain.state.get_code)
+                                 code_hash_of=world.chain.state.get_code_hash)
     context = multiprocessing.get_context("spawn")
     with context.Pool(processes=2) as pool:
         results = pool.map(_run_shard,

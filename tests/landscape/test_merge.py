@@ -96,7 +96,7 @@ def test_merged_serialization_matches_serial_sweep() -> None:
                                 dataset=world.dataset).analyze_all(addresses)
 
     partitions = shard_addresses(addresses, 4, "codehash",
-                                 code_of=world.chain.state.get_code)
+                                 code_hash_of=world.chain.state.get_code_hash)
     partials = []
     for partition in partitions:
         proxion = Proxion.from_chain(world.chain, registry=world.registry,

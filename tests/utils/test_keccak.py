@@ -1,4 +1,5 @@
-"""Keccak-256 against published vectors and structural properties."""
+"""Keccak-256 against published vectors, structural properties, and the
+test-only reference implementation (differential oracle)."""
 
 from __future__ import annotations
 
@@ -8,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.utils.keccak import keccak256, keccak256_hex
+from repro.utils.keccak import keccak256, keccak256_hex, keccak_f1600
+
+from tests.utils import keccak_reference
 
 # Published Keccak-256 (pre-NIST padding) test vectors.
 KNOWN_VECTORS = [
@@ -25,6 +28,28 @@ KNOWN_VECTORS = [
 @pytest.mark.parametrize("message,expected", KNOWN_VECTORS)
 def test_known_vectors(message: bytes, expected: str) -> None:
     assert keccak256_hex(message) == expected
+    assert keccak_reference.keccak256(message).hex() == expected
+
+
+# ------------------------------------------- differential: fast vs reference
+# Lengths 0-700 cover the empty message, the single-0x81-byte padding case
+# (135, 271, ...), exact rate multiples (136, 272, ...) and up to six
+# absorbed blocks.
+@given(st.integers(min_value=0, max_value=700).flatmap(
+    lambda length: st.binary(min_size=length, max_size=length)))
+@settings(max_examples=150, deadline=None)
+def test_sponge_matches_reference(data: bytes) -> None:
+    assert keccak256(data) == keccak_reference.keccak256(data)
+
+
+@given(st.lists(st.integers(min_value=0, max_value=(1 << 64) - 1),
+                min_size=25, max_size=25))
+@settings(max_examples=100, deadline=None)
+def test_permutation_matches_reference(lanes: list[int]) -> None:
+    fast, reference = list(lanes), list(lanes)
+    keccak_f1600(fast)
+    keccak_reference.keccak_f1600(reference)
+    assert fast == reference
 
 
 def test_ethereum_function_selectors() -> None:
@@ -44,9 +69,13 @@ def test_digest_is_32_bytes() -> None:
 
 
 def test_rate_boundary_lengths() -> None:
-    """Messages around the 136-byte rate exercise the multi-block path."""
-    digests = {keccak256(b"a" * n) for n in (135, 136, 137, 271, 272, 273)}
+    """Messages around the 136-byte rate exercise the multi-block path and
+    the one-byte (0x81) padding case."""
+    lengths = (135, 136, 137, 271, 272, 273)
+    digests = {keccak256(b"a" * n) for n in lengths}
     assert len(digests) == 6  # all distinct
+    for n in lengths:
+        assert keccak256(b"a" * n) == keccak_reference.keccak256(b"a" * n)
 
 
 @given(st.binary(max_size=512))
