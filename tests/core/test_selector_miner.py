@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.selector_miner import (
     MiningResult,
@@ -13,6 +15,26 @@ from repro.core.selector_miner import (
     mining_rate,
 )
 from repro.utils.abi import function_selector
+
+BUDGETS = (1, 50, 255, 256, 257, 1000)
+
+
+def scalar_mine(target: bytes, prefix_bits: int, max_attempts: int,
+                name_prefix: str = "impl_") -> tuple[str | None, int]:
+    """The one-hash-per-candidate mining loop: the oracle for the batched
+    search, which must return the same prototype and attempt count."""
+    for attempt in range(max_attempts):
+        prototype = f"{name_prefix}{attempt:x}()"
+        if _matches(function_selector(prototype), target, prefix_bits):
+            return prototype, attempt + 1
+    return None, max_attempts
+
+
+def _mined(target: bytes, prefix_bits: int, max_attempts: int,
+           name_prefix: str = "impl_") -> tuple[str | None, int]:
+    result = mine_selector(target, prefix_bits=prefix_bits,
+                           max_attempts=max_attempts, name_prefix=name_prefix)
+    return result.prototype, result.attempts
 
 
 def test_matches_full_and_prefix() -> None:
@@ -70,3 +92,36 @@ def test_result_properties() -> None:
                           target=b"\x00" * 4, matched_bits=8)
     assert result.found
     assert result.attempts_per_second == 5.0
+
+
+@given(target=st.binary(min_size=4, max_size=4),
+       prefix_bits=st.integers(min_value=4, max_value=14),
+       max_attempts=st.sampled_from(BUDGETS))
+@settings(max_examples=30, deadline=None)
+# Four bits match many candidates of one batch; the earliest must win.
+@example(target=function_selector("transfer(address,uint256)"),
+         prefix_bits=4, max_attempts=256)
+def test_batched_search_matches_scalar_oracle(target: bytes, prefix_bits: int,
+                                              max_attempts: int) -> None:
+    assert _mined(target, prefix_bits, max_attempts) == scalar_mine(
+        target, prefix_bits, max_attempts)
+
+
+@pytest.mark.parametrize("max_attempts", BUDGETS)
+def test_exhausted_budget_counts_every_attempt(max_attempts: int) -> None:
+    # The target is the first candidate past the budget, so the whole
+    # budget is spent without a match, however it splits into batches.
+    target = function_selector(f"impl_{max_attempts:x}()")
+    assert _mined(target, 32, max_attempts) == (None, max_attempts)
+    assert _mined(target, 32, max_attempts + 1) == (
+        f"impl_{max_attempts:x}()", max_attempts + 1)
+
+
+@pytest.mark.parametrize("index", [0, 254, 255, 256, 257, 511, 999])
+def test_hit_at_a_batch_boundary(index: int) -> None:
+    # A full 32-bit target taken from candidate ``index`` is found exactly
+    # there: the first match wins, and attempts = index + 1.
+    target = function_selector(f"edge_{index:x}()")
+    expected = (f"edge_{index:x}()", index + 1)
+    assert _mined(target, 32, 1000, name_prefix="edge_") == expected
+    assert scalar_mine(target, 32, 1000, name_prefix="edge_") == expected

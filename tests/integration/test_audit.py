@@ -10,6 +10,9 @@ over a real audited sweep directory.
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from repro.core.pipeline import Proxion
@@ -79,6 +82,30 @@ def test_recovered_logic_cites_search_steps(audited) -> None:
         assert SEARCH_STEP in kinds, (
             f"0x{analysis.address.hex()} recovered logic without "
             f"Algorithm 1 step evidence")
+
+
+def test_explain_gate_counts_the_same_searches_after_serialization(
+        audited) -> None:
+    """``tools/check_explain.py`` sees analyses that came back from worker
+    processes, which carry no ``api_calls_used``.  Its search predicate
+    must pick exactly the analyses that spent getStorageAt calls, before
+    and after a serialization round-trip."""
+    from repro.landscape.serialize import analysis_to_dict, dict_to_analysis
+    path = Path(__file__).resolve().parents[2] / "tools" / "check_explain.py"
+    spec = importlib.util.spec_from_file_location("check_explain", path)
+    gate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gate)
+
+    report, _ = audited
+    spent = {address for address, analysis in report.analyses.items()
+             if analysis.logic_history
+             and analysis.logic_history.api_calls_used > 0}
+    assert spent
+    assert spent == {address for address, analysis in report.analyses.items()
+                     if gate.ran_logic_search(analysis)}
+    assert spent == {address for address, analysis in report.analyses.items()
+                     if gate.ran_logic_search(
+                         dict_to_analysis(analysis_to_dict(analysis)))}
 
 
 def test_collisions_cite_selector_or_slot_evidence(audited) -> None:

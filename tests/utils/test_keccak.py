@@ -4,12 +4,18 @@ test-only reference implementation (differential oracle)."""
 from __future__ import annotations
 
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.utils.keccak import keccak256, keccak256_hex, keccak_f1600
+from repro.utils.keccak import (
+    keccak256,
+    keccak256_hex,
+    keccak256_many,
+    keccak_f1600,
+)
 
 from tests.utils import keccak_reference
 
@@ -50,6 +56,27 @@ def test_permutation_matches_reference(lanes: list[int]) -> None:
     keccak_f1600(fast)
     keccak_reference.keccak_f1600(reference)
     assert fast == reference
+
+
+# ------------------------------------ differential: batched vs one at a time
+# Lengths that straddle the 1-, 2- and 3-block padding boundaries; every
+# batch of at least 8 messages mixes them with random lengths up to 700.
+BOUNDARY_LENGTHS = (0, 135, 136, 137, 271, 272, 273, 700)
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 255, 256, 257])
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=3, deadline=None)
+def test_many_matches_scalar_and_reference(size: int, seed: int) -> None:
+    rng = random.Random(seed)
+    lengths = [BOUNDARY_LENGTHS[index] if index < len(BOUNDARY_LENGTHS)
+               else rng.randint(0, 700) for index in range(size)]
+    rng.shuffle(lengths)
+    messages = [rng.randbytes(length) for length in lengths]
+    digests = keccak256_many(messages)
+    assert digests == [keccak256(message) for message in messages]
+    assert digests == [keccak_reference.keccak256(message)
+                       for message in messages]
 
 
 def test_ethereum_function_selectors() -> None:

@@ -10,8 +10,8 @@ asserts the ``repro.evidence/1`` contract (docs/observability.md,
    in the serialized analysis (checkpoint/merge provenance).
 2. **Verdict completeness** — every proxy verdict cites a matched
    pattern (or the dedup-cache transfer that replaced classification);
-   every recovered logic history with getStorageAt spend cites its
-   Algorithm 1 search steps; every function/storage collision cites the
+   every logic history Algorithm 1 recovered from a storage slot cites
+   its search steps; every function/storage collision cites the
    selector/slot observations behind it.
 3. **Explain surface** — ``repro explain ADDR --audit DIR`` renders a
    narrative for every audited address and exits 0; ``--json`` output
@@ -35,6 +35,17 @@ import json
 import os
 import sys
 import tempfile
+
+
+def ran_logic_search(analysis) -> bool:
+    """True when Algorithm 1 searched ``analysis``'s logic slot history.
+
+    It runs exactly for storage-slot proxies, and the slot survives
+    serialization; the ``api_calls_used`` probe count does not, so analyses
+    handed back by worker processes would all read as unsearched.
+    """
+    history = analysis.logic_history
+    return history is not None and history.slot is not None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -101,8 +112,7 @@ def main(argv: list[str] | None = None) -> int:
                             f"matched pattern or dedup transfer")
     searched = steps_cited = 0
     for analysis in report.analyses.values():
-        history = analysis.logic_history
-        if history is None or history.api_calls_used == 0:
+        if not ran_logic_search(analysis):
             continue
         searched += 1
         kinds = kinds_of(analysis.address)
